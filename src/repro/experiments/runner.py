@@ -50,12 +50,6 @@ from repro.toolchain.results import PredictionResult
 from repro.utils.validation import ValidationError
 
 
-def _predict_payload(spec_dict: dict[str, Any]) -> dict[str, Any]:
-    """Process-pool worker: run one spec, return the serialized prediction."""
-    spec = ExperimentSpec.from_dict(spec_dict)
-    return prediction_to_dict(spec.run())
-
-
 def _gang_payload(spec_dicts: list[dict[str, Any]]) -> dict[str, Any]:
     """Process-pool worker: run one gang of specs fused (or one spec solo).
 

@@ -13,7 +13,9 @@ Endpoint                  Behaviour
                           ``202`` with its status; unknown -> ``404``.
 ``POST /predict``         Body = spec JSON.  Store hit -> ``200`` with the
                           result (no simulation runs); miss -> the spec is
-                          enqueued and ``202`` reports the job status.
+                          enqueued and ``202`` reports the job status.  A
+                          bad ``Content-Length`` -> ``400``; a body over
+                          ``MAX_POST_BYTES`` -> ``413``.
 ``GET /status?spec_id=``  Job status for a spec (``404`` when never seen).
 ``GET /query?...``        Store query (``topology``, ``trace_id``,
                           ``search_id``, ``scenario``, ``workload``,
@@ -47,6 +49,9 @@ from repro.utils.validation import ValidationError
 #: Query-string filters ``GET /query`` forwards to ``ResultStore.query``.
 _QUERY_FILTERS = ("spec_id", "topology", "trace_id", "search_id", "scenario", "workload")
 
+#: Largest ``POST /predict`` body accepted (``413`` above); a spec is under 1 KiB.
+MAX_POST_BYTES = 1 << 20
+
 
 class ServiceHandler(BaseHTTPRequestHandler):
     """Request handler; state lives on the owning :class:`ReproServer`."""
@@ -67,6 +72,22 @@ class ServiceHandler(BaseHTTPRequestHandler):
         self.send_header("Content-Length", str(len(body)))
         self.end_headers()
         self.wfile.write(body)
+
+    def _post_body(self) -> bytes | None:
+        """The request body, or ``None`` once a bad ``Content-Length`` is answered."""
+        try:
+            length = int(self.headers.get("Content-Length", 0))
+        except ValueError:
+            length = -1
+        if 0 <= length <= MAX_POST_BYTES:
+            return self.rfile.read(length)
+        # The body stays unread, so the connection cannot carry another request.
+        self.close_connection = True
+        if length < 0:
+            self._send(400, {"error": "Content-Length must be a non-negative integer"})
+        else:
+            self._send(413, {"error": f"request body over {MAX_POST_BYTES} bytes"})
+        return None
 
     def _query_params(self) -> dict[str, str]:
         return {
@@ -101,9 +122,10 @@ class ServiceHandler(BaseHTTPRequestHandler):
         if route != "/predict":
             self._send(404, {"error": f"unknown endpoint {route!r}"})
             return
+        raw = self._post_body()
+        if raw is None:
+            return
         try:
-            length = int(self.headers.get("Content-Length", 0))
-            raw = self.rfile.read(length)
             data = json.loads(raw) if raw else None
             if not isinstance(data, dict):
                 raise ValidationError("POST /predict expects a JSON spec object")

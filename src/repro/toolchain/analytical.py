@@ -22,6 +22,12 @@ estimates:
   ideal bound; the factor was chosen so that the analytical results match the
   cycle-accurate simulator on small networks (see
   ``tests/integration/test_toolchain_consistency.py``).
+
+Minimal routing picks the next hop from ``(node, destination)`` alone, so the
+routes into each destination form an in-tree.  Both estimates are computed on
+N x N ``(node, destination)`` matrices, one tree level per array pass: down
+the levels for hops and link latency, back up for the subtree weights, which
+are the channel loads.
 """
 
 from __future__ import annotations
@@ -63,10 +69,8 @@ class AnalyticalPerformance:
     max_channel_load: float
 
 
-def _pair_weights(
-    topology: Topology, pattern: TrafficPattern, samples: int = 0
-) -> dict[tuple[int, int], float]:
-    """Probability of each (source, destination) pair under the traffic pattern.
+def _pair_weights(topology: Topology, pattern: TrafficPattern, samples: int = 0) -> np.ndarray:
+    """``weights[source, destination]``: probability of each pair under the pattern.
 
     Uniform traffic has a closed form; deterministic permutation patterns
     (transpose, tornado, ...) map each source to one destination; other
@@ -74,17 +78,15 @@ def _pair_weights(
     """
     num = topology.num_tiles
     if isinstance(pattern, UniformRandomTraffic):
-        weight = 1.0 / (num * (num - 1))
-        return {(s, d): weight for s in range(num) for d in range(num) if s != d}
+        weights = np.full((num, num), 1.0 / (num * (num - 1)))
+        np.fill_diagonal(weights, 0.0)
+        return weights
     rng = np.random.default_rng(0)
-    weights: dict[tuple[int, int], float] = {}
     draws = max(1, samples) if samples else 32
-    total = num * draws
-    for source in range(num):
-        for _ in range(draws):
-            destination = pattern.destination(source, rng)
-            key = (source, destination)
-            weights[key] = weights.get(key, 0.0) + 1.0 / total
+    sources = np.repeat(np.arange(num), draws)
+    destinations = [pattern.destination(int(source), rng) for source in sources]
+    weights = np.zeros((num, num))
+    np.add.at(weights, (sources, destinations), 1.0 / (num * draws))
     return weights
 
 
@@ -98,12 +100,9 @@ def pair_weights_from_trace(trace: "WorkloadTrace") -> dict[tuple[int, int], flo
     latency is averaged over the pairs the application really exercises, and
     the channel-load bound reflects the links its traffic concentrates on.
     """
-    weights: dict[tuple[int, int], float] = {}
-    total = float(trace.total_flits)
-    for source, destination, size in zip(trace.sources, trace.destinations, trace.sizes):
-        key = (int(source), int(destination))
-        weights[key] = weights.get(key, 0.0) + float(size) / total
-    return weights
+    weights = np.zeros((trace.num_tiles, trace.num_tiles))
+    np.add.at(weights, (trace.sources, trace.destinations), trace.sizes / float(trace.total_flits))
+    return {(int(s), int(d)): float(weights[s, d]) for s, d in zip(*np.nonzero(weights))}
 
 
 def analytical_performance(
@@ -130,62 +129,61 @@ def analytical_performance(
     check_in_range("flow_control_efficiency", flow_control_efficiency, 0.1, 1.0)
 
     routing = routing or build_routing_tables(topology)
-    latencies = link_latencies or {}
-    if pair_weights is None:
-        pattern = make_traffic_pattern(traffic, topology)
-        weights = _pair_weights(topology, pattern)
-    else:
-        weights = {}
-        for (source, destination), weight in pair_weights.items():
-            if not (0 <= source < topology.num_tiles) or not (
-                0 <= destination < topology.num_tiles
-            ):
-                raise ValidationError(
-                    f"pair ({source}, {destination}) outside the "
-                    f"{topology.num_tiles}-tile grid"
-                )
-            if source != destination and weight > 0:
-                weights[(source, destination)] = float(weight)
-        if not weights:
-            raise ValidationError("pair_weights contains no usable pairs")
-
     num = topology.num_tiles
-    channel_load: dict[tuple[int, int], float] = {}
-    total_latency = 0.0
-    total_hops = 0.0
-    total_weight = 0.0
-
-    for (source, destination), weight in weights.items():
-        path = routing.path(source, destination)
-        hops = len(path) - 1
-        path_link_latency = 0
-        for a, b in zip(path[:-1], path[1:]):
-            link = Link.canonical(a, b)
-            path_link_latency += max(1, int(latencies.get(link, 1)))
-            channel_load[(a, b)] = channel_load.get((a, b), 0.0) + weight
-        latency = (
-            hops * router_pipeline_cycles
-            + path_link_latency
-            + injection_ejection_cycles
-            + (packet_size_flits - 1)
-        )
-        total_latency += weight * latency
-        total_hops += weight * hops
-        total_weight += weight
-
-    average_latency = total_latency / total_weight
-    average_hops = total_hops / total_weight
-
-    # channel_load currently holds flits per channel per injected flit per tile,
-    # normalised by the pair probabilities; at an injection rate of 1 flit per
-    # tile per cycle, every tile contributes its share, so scale by N.
-    max_channel_load = max(channel_load.values()) * num if channel_load else 0.0
-    if max_channel_load <= 0:
-        ideal_bound = 1.0
+    if pair_weights is None:
+        weights = _pair_weights(topology, make_traffic_pattern(traffic, topology))
     else:
-        # Channel-load bound, additionally capped by the injection/ejection
-        # bandwidth of one flit per tile per cycle.
-        ideal_bound = min(1.0, 1.0 / max_channel_load)
+        pairs = np.array(list(pair_weights), dtype=np.int64).reshape(-1, 2)
+        values = np.array(list(pair_weights.values()), dtype=float)
+        outside = np.argwhere((pairs < 0) | (pairs >= num))
+        if len(outside):
+            source, destination = pairs[outside[0][0]]
+            raise ValidationError(f"pair ({source}, {destination}) outside the {num}-tile grid")
+        usable = (pairs[:, 0] != pairs[:, 1]) & (values > 0)
+        if not usable.any():
+            raise ValidationError("pair_weights contains no usable pairs")
+        weights = np.zeros((num, num))
+        weights[pairs[usable, 0], pairs[usable, 1]] = values[usable]
+    link_latency = np.ones((num, num), dtype=np.int64)
+    for link, latency in (link_latencies or {}).items():
+        link_latency[link.src, link.dst] = link_latency[link.dst, link.src] = max(1, int(latency))
+
+    # Down the trees: a node joins level k when its next hop is at level k - 1.
+    # A missing table entry points at the node itself, i.e. a loop.
+    tables = routing.minimal
+    next_hop = np.array([[row.get(d, u) for d in range(num)] for u, row in enumerate(tables)])
+    destination = np.broadcast_to(np.arange(num), (num, num))
+    hops = np.where(np.eye(num, dtype=bool), 0, -1)
+    path_latency = np.zeros((num, num), dtype=np.int64)
+    levels = []
+    while (joining := (hops < 0) & (hops[next_hop, destination] == len(levels))).any():
+        nodes, targets = np.nonzero(joining)
+        ahead = next_hop[nodes, targets]
+        hops[nodes, targets] = len(levels) + 1
+        path_latency[nodes, targets] = link_latency[nodes, ahead] + path_latency[ahead, targets]
+        levels.append((nodes, targets, ahead))
+    stuck = np.argwhere((hops < 0) & (weights > 0))
+    if len(stuck):
+        raise ValidationError(f"routing table loop detected from {stuck[0][0]} to {stuck[0][1]}")
+
+    # Up the trees, leaves first: subtree[u, d] is the flow on channel (u, next_hop[u, d]).
+    subtree = weights.copy()
+    channel_load = np.zeros((num, num))
+    for nodes, targets, ahead in reversed(levels):
+        np.add.at(subtree, (ahead, targets), subtree[nodes, targets])
+        np.add.at(channel_load, (nodes, ahead), subtree[nodes, targets])
+
+    overhead = injection_ejection_cycles + (packet_size_flits - 1)
+    latency = hops * router_pipeline_cycles + path_latency + overhead
+    total_weight = weights.sum()
+    average_latency = float((weights * latency).sum() / total_weight)
+    average_hops = float((weights * hops).sum() / total_weight)
+
+    # channel_load holds flits per channel per injected flit per tile; at one
+    # flit per tile per cycle every tile contributes its share, so scale by N.
+    # The channel-load bound is capped by the injection/ejection bandwidth.
+    max_channel_load = float(channel_load.max() * num)
+    ideal_bound = min(1.0, 1.0 / max_channel_load) if max_channel_load > 0 else 1.0
     saturation = min(1.0, flow_control_efficiency * ideal_bound)
 
     return AnalyticalPerformance(

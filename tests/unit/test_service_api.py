@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import http.client
 import json
 import threading
 import urllib.error
@@ -11,7 +12,7 @@ import pytest
 
 from repro.experiments import ExperimentSpec
 from repro.experiments.serialization import prediction_to_dict
-from repro.service.api import make_server
+from repro.service.api import MAX_POST_BYTES, make_server
 from repro.service.store import ResultStore
 
 
@@ -145,6 +146,43 @@ def test_post_predict_envelope_and_bad_json(served_store):
     assert code == 400
 
 
+def post_with_length(base: str, content_length: str) -> tuple[int, dict]:
+    """POST an empty body to ``/predict`` under a hand-set ``Content-Length``."""
+    host, port = base.removeprefix("http://").split(":")
+    connection = http.client.HTTPConnection(host, int(port), timeout=10.0)
+    try:
+        connection.putrequest("POST", "/predict")
+        connection.putheader("Content-Length", content_length)
+        connection.endheaders()
+        response = connection.getresponse()
+        return response.status, json.loads(response.read())
+    finally:
+        connection.close()
+
+
+def test_post_non_integer_content_length_is_400(served_store):
+    _, _, base = served_store
+    code, body = post_with_length(base, "twelve")
+    assert code == 400
+    assert "Content-Length" in body["error"]
+
+
+def test_post_negative_content_length_is_400(served_store):
+    _, _, base = served_store
+    # Reading -1 bytes would block until the client hangs up; the timeout
+    # above turns such a hang into a test failure.
+    code, body = post_with_length(base, "-1")
+    assert code == 400
+    assert "Content-Length" in body["error"]
+
+
+def test_post_body_over_cap_is_413(served_store):
+    _, _, base = served_store
+    code, body = post_with_length(base, str(MAX_POST_BYTES + 1))
+    assert code == 413
+    assert str(MAX_POST_BYTES) in body["error"]
+
+
 def test_status_never_seen_is_404(served_store):
     _, _, base = served_store
     code, body = get(f"{base}/status?spec_id=exp-0000000000000000")
@@ -197,7 +235,10 @@ def test_background_worker_drains_posted_miss(tmp_path):
         deadline = time.time() + 30.0
         while time.time() < deadline:
             code, body = get(f"{base}/status?spec_id={miss.spec_id}")
-            if code == 200 and body.get("stored"):
+            # The worker stores the result before it completes the job, so
+            # ``stored`` alone can be seen while the job is still running.
+            job = body.get("job", {})
+            if code == 200 and body.get("stored") and job.get("status") == "done":
                 break
             time.sleep(0.1)
         assert body["stored"] is True
