@@ -143,15 +143,17 @@ def detailed_route(
         constrained channels; by default every channel is as wide as its peak
         global-routing load and no collisions occur.
     """
-    topology = grid.floorplan.topology
+    ports = {
+        link: (grid.port_position(link.src, link), grid.port_position(link.dst, link))
+        for link in routing.routes
+    }
 
     # Gather per-channel track requests from the global routes.
     per_channel: dict[tuple[str, int], list[_TrackRequest]] = {}
     for link, groute in routing.routes.items():
         if groute.is_direct:
             continue
-        src_port = grid.port_position(link.src, link)
-        dst_port = grid.port_position(link.dst, link)
+        src_port, dst_port = ports[link]
         for segment in groute.segments:
             if segment.orientation == "H":
                 start = min(src_port.x, dst_port.x)
@@ -177,8 +179,7 @@ def detailed_route(
     # Derive physical wire lengths per link.
     routes: dict[Link, DetailedRoute] = {}
     for link, groute in routing.routes.items():
-        src_port = grid.port_position(link.src, link)
-        dst_port = grid.port_position(link.dst, link)
+        src_port, dst_port = ports[link]
         if groute.is_direct:
             horizontal = abs(dst_port.x - src_port.x)
             vertical = abs(dst_port.y - src_port.y)
@@ -195,7 +196,6 @@ def detailed_route(
             vertical_cells=_cells(vertical, grid.cell_height_mm),
             tracks=tracks,
         )
-    del topology
     return DetailedRoutingResult(
         routes=routes,
         collisions=total_collisions,

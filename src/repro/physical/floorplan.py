@@ -100,8 +100,8 @@ def preferred_port_side(topology: Topology, tile: int, link: Link) -> PortSide:
     links use the face of their dominant direction, so that the first leg of
     their L-shaped route starts in the right channel.
     """
-    source = topology.coord(tile)
-    target = topology.coord(link.other(tile))
+    source = topology.tile_coords[tile]
+    target = topology.tile_coords[link.other(tile)]
     d_col = target.col - source.col
     d_row = target.row - source.row
     if d_row == 0 or (d_col != 0 and abs(d_col) >= abs(d_row)):
@@ -127,11 +127,9 @@ def build_floorplan(topology: Topology, tile_geometry: TileGeometry) -> Floorpla
 
     # Second pass: spread the ports of each face evenly along the face.
     ports: dict[tuple[int, Link], PortAssignment] = {}
+    lengths = topology.link_grid_lengths
     for (tile, side), links_on_side in per_side.items():
-        ordered = sorted(
-            links_on_side,
-            key=lambda l: (topology.link_grid_length(l), l.src, l.dst),
-        )
+        ordered = sorted(links_on_side, key=lambda l: (lengths[l], l.src, l.dst))
         count = len(ordered)
         for index, link in enumerate(ordered):
             offset = (index + 1) / (count + 1)

@@ -209,13 +209,12 @@ def global_route(topology: Topology, floorplan: Floorplan | None = None) -> Glob
 
     # Route short links first: they have no routing freedom and should not be
     # penalised by congestion created by long links.
-    ordered_links = sorted(
-        topology.links, key=lambda link: (topology.link_grid_length(link), link.src, link.dst)
-    )
+    lengths, coords = topology.link_grid_lengths, topology.tile_coords
+    ordered_links = sorted(topology.links, key=lambda link: (lengths[link], link.src, link.dst))
     for link in ordered_links:
-        a = topology.coord(link.src)
-        b = topology.coord(link.dst)
-        if topology.link_grid_length(link) == 1:
+        a = coords[link.src]
+        b = coords[link.dst]
+        if lengths[link] == 1:
             # Adjacent tiles: direct port-to-port connection, no channel usage.
             state.routes[link] = GlobalRoute(link=link, segments=(), is_direct=True)
             continue

@@ -128,7 +128,7 @@ class UnitCellGrid:
         """Physical position of the port of ``link`` on ``tile``."""
         topology = self.floorplan.topology
         geometry = self.floorplan.tile_geometry
-        coord = topology.coord(tile)
+        coord = topology.tile_coords[tile]
         origin = self.tile_origin(coord.row, coord.col)
         assignment = self.floorplan.port(tile, link)
         if assignment.side is PortSide.EAST:

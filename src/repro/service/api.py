@@ -15,7 +15,8 @@ Endpoint                  Behaviour
                           result (no simulation runs); miss -> the spec is
                           enqueued and ``202`` reports the job status.  A
                           bad ``Content-Length`` -> ``400``; a body over
-                          ``MAX_POST_BYTES`` -> ``413``.
+                          ``MAX_POST_BYTES`` -> ``413``; a body that stalls
+                          ``SOCKET_TIMEOUT_S`` -> connection closed.
 ``GET /status?spec_id=``  Job status for a spec (``404`` when never seen).
 ``GET /query?...``        Store query (``topology``, ``trace_id``,
                           ``search_id``, ``scenario``, ``workload``,
@@ -52,12 +53,18 @@ _QUERY_FILTERS = ("spec_id", "topology", "trace_id", "search_id", "scenario", "w
 #: Largest ``POST /predict`` body accepted (``413`` above); a spec is under 1 KiB.
 MAX_POST_BYTES = 1 << 20
 
+#: Seconds one socket read or write may block before the handler drops the
+#: connection, so a client that stalls mid-body (or leaves a keep-alive
+#: connection idle) cannot hold a handler thread.
+SOCKET_TIMEOUT_S = 30.0
+
 
 class ServiceHandler(BaseHTTPRequestHandler):
     """Request handler; state lives on the owning :class:`ReproServer`."""
 
     server: "ReproServer"
     protocol_version = "HTTP/1.1"
+    timeout = SOCKET_TIMEOUT_S
 
     # Quiet by default: one access-log line per request drowns test output.
     def log_message(self, format: str, *args: Any) -> None:  # noqa: A002

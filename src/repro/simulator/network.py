@@ -12,6 +12,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
+import numpy as np
+
 from repro.simulator.routing_tables import RoutingTables, build_routing_tables
 from repro.topologies.base import Link, Topology
 from repro.utils.validation import ValidationError, check_type
@@ -154,22 +156,24 @@ class Network:
         """
         if self._compiled_routes is None:
             num = self.num_nodes
-            minimal_table, escape_table = self.routing.minimal, self.routing.escape
-            minimal = [
-                [
-                    self.outputs[node][minimal_table[node][dst]] if dst != node else -1
-                    for dst in range(num)
-                ]
-                for node in range(num)
-            ]
-            escape = [
-                [
-                    self.outputs[node][escape_table[node][dst]] if dst != node else -1
-                    for dst in range(num)
-                ]
-                for node in range(num)
-            ]
-            self._compiled_routes = (minimal, escape)
+            channel_of = np.full((num, num), -1, dtype=np.int64)
+            for channel in self.channels:
+                channel_of[channel.source, channel.destination] = channel.channel_id
+            nodes = np.arange(num)[:, None]
+            off_diagonal = ~np.eye(num, dtype=bool)
+            compiled = []
+            for table in (self.routing.minimal, self.routing.escape):
+                routes = np.where(table >= 0, channel_of[nodes, table], -1)
+                broken = np.argwhere(off_diagonal & (routes < 0))
+                if len(broken):
+                    node, destination = broken[0]
+                    raise ValidationError(
+                        f"routing table hop {node} -> {table[node, destination]} towards "
+                        f"{destination} is not a channel"
+                    )
+                routes[~off_diagonal] = -1
+                compiled.append(routes.tolist())
+            self._compiled_routes = (compiled[0], compiled[1])
         return self._compiled_routes
 
 

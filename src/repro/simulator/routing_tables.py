@@ -29,7 +29,10 @@ once a packet enters the escape layer it stays there until delivery.
 from __future__ import annotations
 
 from collections import deque
+from collections.abc import Mapping, Sequence
 from dataclasses import dataclass
+
+import numpy as np
 
 from repro.topologies.base import Topology
 from repro.utils.validation import ValidationError
@@ -39,40 +42,57 @@ from repro.utils.validation import ValidationError
 class RoutingTables:
     """Next-hop tables of one topology.
 
+    The three tables are ``int64[N, N]`` arrays indexed ``[node, destination]``.
+    Hand-built tables may be passed as nested sequences or as lists of
+    ``{destination: value}`` mappings; they are normalised to arrays, with
+    missing entries set to ``-1``.
+
     Attributes
     ----------
     minimal:
-        ``minimal[node][destination] -> next hop`` along a hop-minimal path.
+        ``minimal[node, destination] -> next hop`` along a hop-minimal path
+        (``-1`` on the diagonal).
     escape:
-        ``escape[node][destination] -> next hop`` along the spanning-tree
-        (escape) path.
+        ``escape[node, destination] -> next hop`` along the spanning-tree
+        (escape) path (``-1`` on the diagonal).
     hop_distance:
-        ``hop_distance[node][destination]`` -> minimal hop count.
+        ``hop_distance[node, destination]`` -> minimal hop count (``0`` on
+        the diagonal).
     tree_parent:
         Parent of every node in the escape spanning tree (root's parent is -1).
     """
 
-    minimal: list[dict[int, int]]
-    escape: list[dict[int, int]]
-    hop_distance: list[dict[int, int]]
+    minimal: np.ndarray
+    escape: np.ndarray
+    hop_distance: np.ndarray
     tree_parent: list[int]
+
+    def __post_init__(self) -> None:
+        num = len(self.tree_parent)
+        self.minimal = _as_table(self.minimal, num)
+        self.escape = _as_table(self.escape, num)
+        self.hop_distance = _as_table(self.hop_distance, num)
 
     def minimal_next_hop(self, node: int, destination: int) -> int:
         """Next hop of the minimal route from ``node`` towards ``destination``."""
-        return self.minimal[node][destination]
+        return int(self.minimal[node, destination])
 
     def escape_next_hop(self, node: int, destination: int) -> int:
         """Next hop of the escape (spanning-tree) route from ``node``."""
-        return self.escape[node][destination]
+        return int(self.escape[node, destination])
 
     def path(self, source: int, destination: int, escape: bool = False) -> list[int]:
         """Full node path from ``source`` to ``destination`` (for tests/analysis)."""
         table = self.escape if escape else self.minimal
         path = [source]
         current = source
-        limit = 2 * len(self.minimal) + 2
+        limit = 2 * len(table) + 2
         while current != destination:
-            current = table[current][destination]
+            current = int(table[current, destination])
+            if current < 0:
+                raise ValidationError(
+                    f"routing table has no next hop from {path[-1]} to {destination}"
+                )
             path.append(current)
             if len(path) > limit:
                 raise ValidationError(
@@ -82,61 +102,75 @@ class RoutingTables:
 
     def average_minimal_hops(self) -> float:
         """Mean hop count over all ordered source/destination pairs."""
-        num = len(self.minimal)
-        total = sum(
-            self.hop_distance[src][dst]
-            for src in range(num)
-            for dst in range(num)
-            if src != dst
-        )
+        num = len(self.hop_distance)
+        total = int(self.hop_distance[~np.eye(num, dtype=bool)].sum())
         return total / (num * (num - 1))
 
 
-def _minimal_tables(topology: Topology) -> tuple[list[dict[int, int]], list[dict[int, int]]]:
-    """Hop-minimal next-hop tables with physical-length tie-breaking."""
+def _as_table(table: np.ndarray | Sequence, num: int) -> np.ndarray:
+    """``table`` as an ``int64[num, num]`` array; missing entries become -1."""
+    if not isinstance(table, np.ndarray):
+        rows = table
+        table = np.full((num, num), -1, dtype=np.int64)
+        for node, row in enumerate(rows):
+            for destination, value in row.items() if isinstance(row, Mapping) else enumerate(row):
+                table[node, destination] = value
+    table = np.asarray(table, dtype=np.int64)
+    if table.shape != (num, num):
+        raise ValidationError(f"routing table of shape {table.shape}, expected {(num, num)}")
+    return table
+
+
+def _neighbor_matrix(topology: Topology) -> np.ndarray:
+    """Sorted neighbours of every tile, padded on the right with the tile itself."""
+    neighbors = [topology.neighbors(node) for node in range(topology.num_tiles)]
+    padded = np.repeat(np.arange(topology.num_tiles)[:, None], max(map(len, neighbors)), axis=1)
+    for node, row in enumerate(neighbors):
+        padded[node, : len(row)] = row
+    return padded
+
+
+def _minimal_tables(topology: Topology) -> tuple[np.ndarray, np.ndarray]:
+    """Hop-minimal next-hop tables with physical-length tie-breaking.
+
+    All destinations advance together: a BFS level pass gives the hop
+    distances, then one dynamic-programming pass per hop level picks, for
+    every ``(node, destination)`` at that level, the neighbour one level
+    closer with the shortest physical continuation.  Neighbours are sorted
+    ascending, so ``argmin`` (first minimum) breaks equal lengths towards the
+    lowest neighbour index.
+    """
     num = topology.num_tiles
-    neighbors = [topology.neighbors(node) for node in range(num)]
-    coords = [topology.coord(node) for node in range(num)]
+    neighbors = _neighbor_matrix(topology)
+    rows, cols = np.divmod(np.arange(num), topology.cols)
+    manhattan = abs(rows[:, None] - rows) + abs(cols[:, None] - cols)
 
-    hop_distance: list[dict[int, int]] = [dict() for _ in range(num)]
-    minimal: list[dict[int, int]] = [dict() for _ in range(num)]
+    # BFS from every destination at once.  Padding entries point at the node
+    # itself, so they never reach a new node nor pass the level check below.
+    hop_distance = np.full((num, num), -1, dtype=np.int64)
+    np.fill_diagonal(hop_distance, 0)
+    frontier = np.eye(num, dtype=bool)
+    levels = 0
+    while frontier.any():
+        levels += 1
+        frontier = frontier[neighbors].any(axis=1) & (hop_distance < 0)
+        hop_distance[frontier] = levels
+    if (hop_distance < 0).any():
+        raise ValidationError("topology is not connected; cannot build routing tables")
 
-    for destination in range(num):
-        # BFS from the destination gives hop distances to that destination.
-        dist = {destination: 0}
-        queue = deque([destination])
-        while queue:
-            node = queue.popleft()
-            for neighbor in neighbors[node]:
-                if neighbor not in dist:
-                    dist[neighbor] = dist[node] + 1
-                    queue.append(neighbor)
-        if len(dist) != num:
-            raise ValidationError("topology is not connected; cannot build routing tables")
-        for node, hops in dist.items():
-            hop_distance[node][destination] = hops
-
-        # Among hop-minimal next hops, prefer the physically shortest overall
-        # continuation (dynamic program over increasing hop distance).
-        order = sorted(range(num), key=lambda n: dist[n])
-        best_phys: dict[int, float] = {destination: 0.0}
-        for node in order:
-            if node == destination:
-                continue
-            level = dist[node]
-            best_choice: tuple[float, int] | None = None
-            for neighbor in neighbors[node]:
-                if dist[neighbor] != level - 1:
-                    continue
-                length = abs(coords[node].row - coords[neighbor].row) + abs(
-                    coords[node].col - coords[neighbor].col
-                )
-                candidate = (best_phys[neighbor] + length, neighbor)
-                if best_choice is None or candidate < best_choice:
-                    best_choice = candidate
-            assert best_choice is not None  # connected graph: some neighbour is closer
-            best_phys[node] = best_choice[0]
-            minimal[node][destination] = best_choice[1]
+    # Among hop-minimal next hops, prefer the physically shortest overall
+    # continuation (dynamic program over increasing hop distance).
+    minimal = np.full((num, num), -1, dtype=np.int64)
+    best_phys = np.zeros((num, num), dtype=np.int64)
+    for level in range(1, levels):
+        nodes, targets = np.nonzero(hop_distance == level)
+        candidates = neighbors[nodes]
+        cost = best_phys[candidates, targets[:, None]] + manhattan[nodes[:, None], candidates]
+        cost[hop_distance[candidates, targets[:, None]] != level - 1] = np.iinfo(np.int64).max
+        choice = cost.argmin(axis=1)
+        picked = np.arange(len(nodes))
+        minimal[nodes, targets] = candidates[picked, choice]
+        best_phys[nodes, targets] = cost[picked, choice]
     return minimal, hop_distance
 
 
@@ -156,30 +190,26 @@ def _spanning_tree(topology: Topology, root: int = 0) -> list[int]:
     return parent
 
 
-def _escape_tables(topology: Topology, parent: list[int]) -> list[dict[int, int]]:
+def _escape_tables(parent: list[int]) -> np.ndarray:
     """Spanning-tree next-hop tables (up to the common ancestor, then down).
 
     The default next hop towards any destination is the node's tree parent
     ("up"); for every node that lies on the tree path from the root to the
     destination the next hop is overridden with the child leading towards the
-    destination ("down").
+    destination ("down").  The ancestor chains of all destinations are walked
+    together, one tree level per step.
     """
-    num = topology.num_tiles
-    escape: list[dict[int, int]] = [dict() for _ in range(num)]
-    for destination in range(num):
-        # Ancestor chain of the destination, starting at the destination.
-        chain = [destination]
-        while parent[chain[-1]] != -1:
-            chain.append(parent[chain[-1]])
-        on_chain = {node: index for index, node in enumerate(chain)}
-        for node in range(num):
-            if node == destination:
-                continue
-            if node in on_chain:
-                # Go down the tree: the next hop is the previous chain element.
-                escape[node][destination] = chain[on_chain[node] - 1]
-            else:
-                escape[node][destination] = parent[node]
+    num = len(parent)
+    parents = np.array(parent, dtype=np.int64)
+    escape = np.repeat(parents[:, None], num, axis=1)
+    destinations = np.arange(num)
+    below, node = destinations, parents
+    while len(destinations):
+        climbing = node >= 0
+        destinations, below, node = destinations[climbing], below[climbing], node[climbing]
+        escape[node, destinations] = below
+        below, node = node, parents[node]
+    np.fill_diagonal(escape, -1)
     return escape
 
 
@@ -188,10 +218,9 @@ def build_routing_tables(topology: Topology) -> RoutingTables:
     topology.validate_connected()
     minimal, hop_distance = _minimal_tables(topology)
     parent = _spanning_tree(topology, root=0)
-    escape = _escape_tables(topology, parent)
     return RoutingTables(
         minimal=minimal,
-        escape=escape,
+        escape=_escape_tables(parent),
         hop_distance=hop_distance,
         tree_parent=parent,
     )

@@ -149,9 +149,8 @@ def analytical_performance(
         link_latency[link.src, link.dst] = link_latency[link.dst, link.src] = max(1, int(latency))
 
     # Down the trees: a node joins level k when its next hop is at level k - 1.
-    # A missing table entry points at the node itself, i.e. a loop.
-    tables = routing.minimal
-    next_hop = np.array([[row.get(d, u) for d in range(num)] for u, row in enumerate(tables)])
+    # A missing table entry (-1) points at the node itself, i.e. a loop.
+    next_hop = np.where(routing.minimal < 0, np.arange(num)[:, None], routing.minimal)
     destination = np.broadcast_to(np.arange(num), (num, num))
     hops = np.where(np.eye(num, dtype=bool), 0, -1)
     path_latency = np.zeros((num, num), dtype=np.int64)

@@ -82,7 +82,8 @@ class PredictionToolchain:
         # Routing tables depend only on the topology, not on the traffic or
         # injection rate, so sweeps that vary only those knobs reuse the BFS
         # work.  Keyed by object identity with a weakref guard against id()
-        # reuse after garbage collection.
+        # reuse after garbage collection; an entry is dropped as soon as its
+        # topology dies.
         self._routing_cache: dict[int, tuple[weakref.ref, RoutingTables]] = {}
 
     def routing_for(self, topology: Topology) -> RoutingTables:
@@ -92,13 +93,14 @@ class PredictionToolchain:
         if entry is not None and entry[0]() is topology:
             return entry[1]
         routing = build_routing_tables(topology)
-        if len(self._routing_cache) >= 256:
-            self._routing_cache = {
-                k: (ref, tables)
-                for k, (ref, tables) in self._routing_cache.items()
-                if ref() is not None
-            }
-        self._routing_cache[key] = (weakref.ref(topology), routing)
+        cache = self._routing_cache
+
+        def evict(ref: weakref.ref) -> None:
+            # A newer topology may already hold the reused id: drop only our entry.
+            if cache.get(key, (None,))[0] is ref:
+                cache.pop(key, None)
+
+        cache[key] = (weakref.ref(topology, evict), routing)
         return routing
 
     def predict(self, topology: Topology, traffic: str | None = None) -> PredictionResult:

@@ -194,6 +194,21 @@ class Topology:
         g.add_edges_from((link.src, link.dst) for link in self._links)
         return g
 
+    @cached_property
+    def tile_coords(self) -> tuple[TileCoord, ...]:
+        """Grid position of every tile, indexed by tile (:meth:`coord` precomputed)."""
+        return tuple(TileCoord(*divmod(tile, self._cols)) for tile in range(self.num_tiles))
+
+    @cached_property
+    def link_grid_lengths(self) -> dict[Link, int]:
+        """Manhattan length of every link in tile pitches (:meth:`link_grid_length` precomputed)."""
+        coords = self.tile_coords
+        return {
+            link: abs(coords[link.src].row - coords[link.dst].row)
+            + abs(coords[link.src].col - coords[link.dst].col)
+            for link in self._links
+        }
+
     def neighbors(self, tile: int) -> list[int]:
         """Return the tiles directly connected to ``tile``, sorted."""
         self._check_tile_index(tile)

@@ -151,7 +151,7 @@ def test_trace_weights_are_per_pair_flit_shares():
 def test_routing_loop_raises():
     topology = MeshTopology(4, 4)
     tables = build_routing_tables(topology)
-    minimal = [dict(row) for row in tables.minimal]
+    minimal = tables.minimal.copy()
     # Tiles 0 and 1 point at each other for destination 15: a 2-cycle.
     minimal[0][15], minimal[1][15] = 1, 0
     looped = RoutingTables(minimal, tables.escape, tables.hop_distance, tables.tree_parent)

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import http.client
 import json
+import socket
 import threading
 import urllib.error
 import urllib.request
@@ -12,7 +13,7 @@ import pytest
 
 from repro.experiments import ExperimentSpec
 from repro.experiments.serialization import prediction_to_dict
-from repro.service.api import MAX_POST_BYTES, make_server
+from repro.service.api import MAX_POST_BYTES, SOCKET_TIMEOUT_S, ServiceHandler, make_server
 from repro.service.store import ResultStore
 
 
@@ -181,6 +182,20 @@ def test_post_body_over_cap_is_413(served_store):
     code, body = post_with_length(base, str(MAX_POST_BYTES + 1))
     assert code == 413
     assert str(MAX_POST_BYTES) in body["error"]
+
+
+def test_stalled_post_body_times_out(served_store, monkeypatch):
+    _, _, base = served_store
+    assert ServiceHandler.timeout == SOCKET_TIMEOUT_S
+    monkeypatch.setattr(ServiceHandler, "timeout", 0.5)
+    host, port = base.removeprefix("http://").split(":")
+    with socket.create_connection((host, int(port)), timeout=10.0) as stalled:
+        stalled.sendall(b"POST /predict HTTP/1.1\r\nHost: test\r\n"
+                        b"Content-Length: 100\r\n\r\n{\"topology\"")
+        # The handler gives up on the missing bytes and closes the connection;
+        # without a timeout this recv would block until the client's 10 s.
+        assert stalled.recv(1024) == b""
+    assert get(f"{base}/healthz") == (200, {"ok": True})
 
 
 def test_status_never_seen_is_404(served_store):

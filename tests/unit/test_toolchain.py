@@ -1,5 +1,7 @@
 """Unit tests for the prediction toolchain (analytical model + predict API)."""
 
+import gc
+
 import pytest
 
 from repro.core.sparse_hamming import SparseHammingGraph
@@ -108,3 +110,20 @@ class TestPredictionToolchain:
         assert shg.saturation_throughput >= mesh.saturation_throughput
         assert shg.zero_load_latency_cycles <= mesh.zero_load_latency_cycles
         assert shg.area_overhead >= mesh.area_overhead
+
+    def test_routing_cache_reuses_tables_per_topology(self, small_toolchain):
+        mesh = MeshTopology(4, 4)
+        assert small_toolchain.routing_for(mesh) is small_toolchain.routing_for(mesh)
+        # An equal but distinct topology object gets its own tables.
+        assert small_toolchain.routing_for(MeshTopology(4, 4)) is not small_toolchain.routing_for(mesh)
+
+    def test_routing_cache_drops_dead_topologies(self, small_toolchain):
+        topologies = [MeshTopology(4, 4), TorusTopology(4, 4)]
+        tables = [small_toolchain.routing_for(topology) for topology in topologies]
+        del topologies[0]
+        gc.collect()
+        assert list(small_toolchain._routing_cache) == [id(topologies[0])]
+        assert small_toolchain.routing_for(topologies[0]) is tables[1]
+        topologies.clear()
+        gc.collect()
+        assert small_toolchain._routing_cache == {}
